@@ -18,10 +18,13 @@
 //! 3. **convert** — build the chosen format, with a fallback chain for
 //!    formats that refuse a matrix (DIA/ELL padding budgets, VSL
 //!    channel capacity), and keep it in a byte-bounded LRU
-//!    [`ConversionCache`]. *When* the build runs is the admission
-//!    policy ([`Admission`]): synchronously on the first request, or in
-//!    a background flight while requests are served via the universal
-//!    CSR path;
+//!    [`ConversionCache`]. Every conversion becomes resident through
+//!    one landing path, [`shard::land`]: synchronous misses, background
+//!    flights and snapshot restores differ only in where the format
+//!    comes from and what their publish hook does to the plan. *When*
+//!    the build runs is the admission policy ([`Admission`]):
+//!    synchronously on the first request, or in a background flight
+//!    while requests are served via the universal CSR path;
 //! 4. **serve** — run the kernel; every call is counted in the
 //!    [`EngineCounters`] so operators can see selections per format,
 //!    cache hit rates, fallbacks and resident bytes.
@@ -68,11 +71,11 @@ pub use snapshot::{selector_from_snapshot, RestoreStats, SnapshotError, SNAPSHOT
 pub use solve::{SolveError, SolveHandle, SolveOutcome};
 pub use training::{labeled_runs, selector_from_records, TrainingPlan};
 
-use shard::{CachedFormat, Lookup};
+use shard::{CachedFormat, Landing, Source};
 use spmv_analysis::{FormatSelector, SelectorFeatures};
 use spmv_core::{CsrMatrix, FeatureSet};
 use spmv_devices::{device_by_name, DeviceSpec};
-use spmv_formats::{build_with_fallback_profile, FormatKind, LaneProfile};
+use spmv_formats::{FormatKind, LaneProfile};
 use spmv_parallel::sync::{AtomicU64, AtomicUsize, Ordering};
 use spmv_parallel::{Executor, PoolStats, Schedule, ThreadPool};
 use std::sync::Arc;
@@ -340,6 +343,40 @@ struct CounterBank {
     selections: [AtomicU64; FormatKind::ALL.len()],
 }
 
+impl CounterBank {
+    /// Counts one served request; `selected` is the converted format
+    /// that ran, `None` for the universal CSR path.
+    fn request(&self, selected: Option<FormatKind>) {
+        self.requests.fetch_add(1, Ordering::Relaxed);
+        let executed = match selected {
+            Some(kind) => {
+                self.served_selected.fetch_add(1, Ordering::Relaxed);
+                kind
+            }
+            None => {
+                self.served_fallback.fetch_add(1, Ordering::Relaxed);
+                FormatKind::NaiveCsr
+            }
+        };
+        self.selections[kind_index(executed)].fetch_add(1, Ordering::Relaxed);
+    }
+
+    /// Counts one conversion-cache lookup by how it was answered.
+    fn lookup(&self, outcome: Landing) {
+        self.lookups.fetch_add(1, Ordering::Relaxed);
+        let class = match outcome {
+            Landing::Hit => &self.hits,
+            Landing::Coalesced => &self.coalesced,
+            Landing::Led { refused, .. } => {
+                self.fallbacks.fetch_add(refused as u64, Ordering::Relaxed);
+                self.conversions.fetch_add(1, Ordering::Relaxed);
+                &self.misses
+            }
+        };
+        class.fetch_add(1, Ordering::Relaxed);
+    }
+}
+
 fn kind_index(kind: FormatKind) -> usize {
     FormatKind::ALL.iter().position(|&k| k == kind).expect("kind is in ALL")
 }
@@ -360,15 +397,6 @@ struct ServeState {
     /// Lane profile every conversion (foreground or flight) builds at:
     /// `SPMV_LANES` when set, else the device profile's SIMD width.
     lanes: LaneProfile,
-}
-
-/// How one request was answered.
-enum Served {
-    /// The engine-selected converted format (resident in the cache).
-    Selected(CachedFormat, FormatKind),
-    /// The universal CSR path, straight off the caller's operand —
-    /// no conversion, no converted format involved.
-    CsrPath,
 }
 
 /// The adaptive SpMV serving engine. See the [crate docs](self) for the
@@ -581,73 +609,52 @@ impl Engine {
         self.state.plans.insert_pending(id, kind)
     }
 
-    /// Synchronous resolution: cache lookup → single-flight conversion
-    /// on miss (with fallback) → publish and re-pin the plan inside the
-    /// flight's critical section. Exactly one of a set of racing misses
-    /// converts; the others block on its flight and share the result
-    /// (counted as `coalesced`).
-    fn resolve(&self, id: &str, csr: &CsrMatrix, planned: FormatKind) -> Served {
-        let c = &self.state.counters;
-        c.lookups.fetch_add(1, Ordering::Relaxed);
-        loop {
-            match self.state.conversions.begin(id, planned) {
-                Lookup::Hit(fmt, actual) => {
-                    c.hits.fetch_add(1, Ordering::Relaxed);
-                    return Served::Selected(fmt, actual);
-                }
-                Lookup::Wait(flight) => {
-                    if let Some((fmt, actual)) = flight.wait() {
-                        c.coalesced.fetch_add(1, Ordering::Relaxed);
-                        return Served::Selected(fmt, actual);
-                    }
-                    // The leader abandoned (panicked) without
-                    // publishing; retry — this lookup will now lead.
-                }
-                Lookup::Lead(guard) => {
-                    c.misses.fetch_add(1, Ordering::Relaxed);
-                    // Conversion runs with no shard lock held: it can
-                    // take many SpMV-equivalents, and other matrices on
-                    // the same shard must keep serving meanwhile.
-                    let (built, actual, refused) = build_with_fallback_profile(
-                        guard.kind(),
-                        csr,
-                        &self.state.fallback_chain,
-                        self.state.lanes,
-                    )
-                    .expect("fallback chain ends in CSR, which accepts any matrix");
-                    c.fallbacks.fetch_add(refused as u64, Ordering::Relaxed);
-                    c.conversions.fetch_add(1, Ordering::Relaxed);
-                    let fmt: CachedFormat = Arc::new(built);
-                    // Publication and plan re-pin share one critical
-                    // section: no reader can observe the resident
-                    // fallback entry while still being handed the
-                    // refusing plan (the old re-plan window).
-                    guard.finish_with(Arc::clone(&fmt), actual, |actual| {
-                        self.state.plans.pin(id, actual);
-                        true
-                    });
-                    return Served::Selected(fmt, actual);
-                }
+    /// The front door, one for both admission modes: plan → resident
+    /// hit. On a miss, [`Admission::Sync`] lands the conversion on the
+    /// calling thread; [`Admission::Async`] makes sure a background
+    /// flight is on its way and answers `None` — the universal CSR
+    /// path — never converting (or waiting on a conversion) here.
+    /// Counts one request either way.
+    fn serve(&self, id: &str, csr: &CsrMatrix) -> Option<(CachedFormat, FormatKind)> {
+        let plan = self.plan(id, csr);
+        let served = match self.state.conversions.peek(id, plan.kind()) {
+            Some(hit) => {
+                self.state.counters.lookup(Landing::Hit);
+                Some(hit)
             }
-        }
+            None => match self.admission {
+                Admission::Sync => Some(self.land_on_caller(id, csr, plan.kind())),
+                Admission::Async { max_in_flight } => {
+                    if !matches!(plan, PlanState::Building(_)) {
+                        self.try_schedule_admission(id, csr, max_in_flight);
+                    }
+                    None
+                }
+            },
+        };
+        self.state.counters.request(served.as_ref().map(|&(_, kind)| kind));
+        served
     }
 
-    /// Asynchronous serve: answer from the cache when the selected
-    /// format is resident, otherwise ensure a background flight is on
-    /// its way and answer via the CSR path — never converting (or
-    /// waiting on a conversion) on this thread.
-    fn serve_async(&self, id: &str, csr: &CsrMatrix, max_in_flight: usize) -> Served {
-        let state = self.plan(id, csr);
-        let c = &self.state.counters;
-        if let Some((fmt, actual)) = self.state.conversions.peek(id, state.kind()) {
-            c.lookups.fetch_add(1, Ordering::Relaxed);
-            c.hits.fetch_add(1, Ordering::Relaxed);
-            return Served::Selected(fmt, actual);
-        }
-        if !matches!(state, PlanState::Building(_)) {
-            self.try_schedule_admission(id, csr, max_in_flight);
-        }
-        Served::CsrPath
+    /// The synchronous miss path: lands `(id, planned)` on the calling
+    /// thread, re-pinning the plan to the kind that built inside the
+    /// publication critical section. Exactly one of a set of racing
+    /// misses converts; the others wait on its flight and share the
+    /// result.
+    fn land_on_caller(
+        &self,
+        id: &str,
+        csr: &CsrMatrix,
+        planned: FormatKind,
+    ) -> (CachedFormat, FormatKind) {
+        let st = &self.state;
+        let source = Source::Build { csr, chain: &st.fallback_chain, lanes: st.lanes };
+        let (fmt, actual, outcome) = shard::land(&st.conversions, id, planned, source, |actual| {
+            st.plans.pin(id, actual);
+            true
+        });
+        st.counters.lookup(outcome);
+        (fmt, actual)
     }
 
     /// Claims and schedules one background admission flight for `id`,
@@ -692,30 +699,6 @@ impl Engine {
         self.pool.submit_low(move || run_admission(&state, &id, &csr, kind, epoch));
     }
 
-    fn serve(&self, id: &str, csr: &CsrMatrix) -> Served {
-        let served = match self.admission {
-            Admission::Sync => {
-                let planned = self.plan(id, csr).kind();
-                self.resolve(id, csr, planned)
-            }
-            Admission::Async { max_in_flight } => self.serve_async(id, csr, max_in_flight),
-        };
-        let c = &self.state.counters;
-        c.requests.fetch_add(1, Ordering::Relaxed);
-        let executed = match &served {
-            Served::Selected(_, actual) => {
-                c.served_selected.fetch_add(1, Ordering::Relaxed);
-                *actual
-            }
-            Served::CsrPath => {
-                c.served_fallback.fetch_add(1, Ordering::Relaxed);
-                FormatKind::NaiveCsr
-            }
-        };
-        c.selections[kind_index(executed)].fetch_add(1, Ordering::Relaxed);
-        served
-    }
-
     /// Serves `y = A·x` sequentially; returns the format that ran
     /// (under asynchronous admission, [`FormatKind::NaiveCsr`] until
     /// the conversion flight lands). `y` is fully overwritten.
@@ -725,11 +708,11 @@ impl Engine {
     /// [`Engine::forget`] first if a matrix changes in place).
     pub fn spmv(&self, id: &str, csr: &CsrMatrix, x: &[f64], y: &mut [f64]) -> FormatKind {
         match self.serve(id, csr) {
-            Served::Selected(fmt, kind) => {
+            Some((fmt, kind)) => {
                 fmt.spmv(x, y);
                 kind
             }
-            Served::CsrPath => {
+            None => {
                 csr.spmv_into(x, y);
                 FormatKind::NaiveCsr
             }
@@ -740,11 +723,11 @@ impl Engine {
     /// that ran. `y` is fully overwritten.
     pub fn spmv_parallel(&self, id: &str, csr: &CsrMatrix, x: &[f64], y: &mut [f64]) -> FormatKind {
         match self.serve(id, csr) {
-            Served::Selected(fmt, kind) => {
+            Some((fmt, kind)) => {
                 fmt.spmv_parallel(&self.pool, x, y);
                 kind
             }
-            Served::CsrPath => {
+            None => {
                 csr_path_spmv_parallel(&self.pool, csr, x, y);
                 FormatKind::NaiveCsr
             }
@@ -764,11 +747,11 @@ impl Engine {
         y: &mut [f64],
     ) -> FormatKind {
         match self.serve(id, csr) {
-            Served::Selected(fmt, kind) => {
+            Some((fmt, kind)) => {
                 fmt.spmm(x, k, y);
                 kind
             }
-            Served::CsrPath => {
+            None => {
                 for j in 0..k {
                     csr.spmv_into(
                         &x[j * csr.cols()..(j + 1) * csr.cols()],
@@ -889,85 +872,43 @@ fn csr_path_spmv_parallel(pool: &ThreadPool, csr: &CsrMatrix, x: &[f64], y: &mut
     });
 }
 
-/// One background admission flight: resolve `(id, kind)` through the
-/// single-flight register, then land the plan (`Building → Pinned`)
-/// with the `epoch` ticket. Runs on the thread pool's background lane;
-/// `state` is the engine's shared serving state, `csr` the flight's own
-/// clone of the operand.
-fn run_admission(state: &Arc<ServeState>, id: &str, csr: &CsrMatrix, kind: FormatKind, epoch: u64) {
-    /// Releases the admission slot on every exit; reverts the plan to
-    /// `Pending` unless the flight landed (so a panicking build does
+/// One background admission flight: land `(id, kind)` and, with the
+/// `epoch` ticket, the plan (`Building → Pinned`). Runs on the thread
+/// pool's background lane; `state` is the engine's shared serving
+/// state, `csr` the flight's own clone of the operand.
+fn run_admission(state: &ServeState, id: &str, csr: &CsrMatrix, kind: FormatKind, epoch: u64) {
+    /// Releases the admission slot on every exit and reverts the plan
+    /// to `Pending` unless the flight landed, so a panicking build does
     /// not wedge the id in `Building` forever — the next request
-    /// re-schedules).
+    /// re-schedules. The revert is epoch-checked, so once the plan has
+    /// landed (or been re-claimed) it is a no-op.
     struct Slot<'a> {
         state: &'a ServeState,
         id: &'a str,
         epoch: u64,
-        landed: bool,
     }
     impl Drop for Slot<'_> {
         fn drop(&mut self) {
-            if !self.landed {
-                self.state.plans.abort_build(self.id, self.epoch);
-            }
+            self.state.plans.abort_build(self.id, self.epoch);
             self.state.in_flight.fetch_sub(1, Ordering::AcqRel);
         }
     }
-    let mut slot = Slot { state, id, epoch, landed: false };
+    let _slot = Slot { state, id, epoch };
 
-    let c = &state.counters;
-    c.lookups.fetch_add(1, Ordering::Relaxed);
-    loop {
-        match state.conversions.begin(id, kind) {
-            Lookup::Hit(_, actual) => {
-                // Already resident (an earlier flight of this id under
-                // another plan generation): just land the plan. Not a
-                // `swap` — that counter tracks conversions this flight
-                // itself built and published, so it stays exactly one
-                // per `(id, format)` no matter how claims interleave.
-                c.hits.fetch_add(1, Ordering::Relaxed);
-                if state.plans.finish_build(id, epoch, actual) {
-                    slot.landed = true;
-                }
-                return;
-            }
-            Lookup::Wait(flight) => {
-                if let Some((_, actual)) = flight.wait() {
-                    c.coalesced.fetch_add(1, Ordering::Relaxed);
-                    if state.plans.finish_build(id, epoch, actual) {
-                        slot.landed = true;
-                    }
-                    return;
-                }
-                // Leader abandoned; retry — this flight will now lead.
-            }
-            Lookup::Lead(guard) => {
-                c.misses.fetch_add(1, Ordering::Relaxed);
-                let (built, actual, refused) = build_with_fallback_profile(
-                    guard.kind(),
-                    csr,
-                    &state.fallback_chain,
-                    state.lanes,
-                )
-                .expect("fallback chain ends in CSR, which accepts any matrix");
-                c.fallbacks.fetch_add(refused as u64, Ordering::Relaxed);
-                c.conversions.fetch_add(1, Ordering::Relaxed);
-                let mut landed = false;
-                // Atomic landing: cache insert + plan re-pin in one
-                // critical section, both vetoed if the id was forgotten
-                // (flight deregistered) or forgotten-and-re-admitted
-                // (epoch mismatch) while we built.
-                guard.finish_with(Arc::new(built), actual, |actual| {
-                    landed = state.plans.finish_build(id, epoch, actual);
-                    landed
-                });
-                if landed {
-                    c.swaps.fetch_add(1, Ordering::Relaxed);
-                    slot.landed = true;
-                }
-                return;
-            }
-        }
+    // The plan lands with the conversion (inside the publication
+    // critical section when this flight leads); both are vetoed if the
+    // id was forgotten, or forgotten and re-admitted (epoch mismatch),
+    // while the flight was queued or building.
+    let source = Source::Build { csr, chain: &state.fallback_chain, lanes: state.lanes };
+    let (_, _, outcome) = shard::land(&state.conversions, id, kind, source, |actual| {
+        state.plans.finish_build(id, epoch, actual)
+    });
+    state.counters.lookup(outcome);
+    // A swap is a conversion this flight built and published itself —
+    // one per converted `(id, format)` however claims interleave; a
+    // flight that finds the format resident only re-pins.
+    if let Landing::Led { published: true, .. } = outcome {
+        state.counters.swaps.fetch_add(1, Ordering::Relaxed);
     }
 }
 

@@ -20,6 +20,12 @@
 //!   Conversion can cost many SpMV-equivalents (SELL-C-σ, BCSR), so a
 //!   thundering herd of M clients must pay it once, not M times.
 //!
+//! [`land`] runs the whole single-flight protocol (lookup, wait or
+//! lead, build, publish) for one key. It is the only way the engine
+//! makes a conversion resident: synchronous misses, background
+//! admission flights and snapshot restores all call it, passing their
+//! own format [`Source`] and publish hook.
+//!
 //! # Flight publication is atomic with the plan update
 //!
 //! When a planned format refuses a matrix and a fallback builds
@@ -45,7 +51,8 @@
 //! lock the shard.
 
 use crate::cache::ConversionCache;
-use spmv_formats::{FormatKind, SparseFormat};
+use spmv_core::CsrMatrix;
+use spmv_formats::{build_with_fallback_profile, FormatKind, LaneProfile, SparseFormat};
 use spmv_parallel::sync::{Condvar, Mutex};
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -77,8 +84,8 @@ fn shard_of(id: &str, shards: usize) -> usize {
 ///   (at most one per plan entry, enforced by
 ///   [`PlanTable::try_begin_build`]); requests keep serving the CSR
 ///   path until it lands.
-/// * `Pinned` — the conversion landed (or a synchronous resolve
-///   published); requests serve the converted format.
+/// * `Pinned` — the conversion landed (by a flight, a synchronous
+///   miss or a restore); requests serve the converted format.
 ///
 /// Synchronous admission uses only `Pending` → `Pinned`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -536,6 +543,7 @@ impl FlightGuard<'_> {
     /// and records a redirect if that differs from the flight's kind.
     /// Then wakes every waiter (they receive the result either way:
     /// their requests raced whatever invalidated the publication).
+    /// Returns whether the format became resident.
     ///
     /// `publish` returning `false` means the caller found its admission
     /// stale (the id was forgotten, or forgotten and re-admitted, while
@@ -547,22 +555,23 @@ impl FlightGuard<'_> {
     /// `publish` runs with the conversion-shard lock held and may take
     /// a plan-shard lock (see the module docs on lock ordering); it
     /// must not call back into [`ShardedConversions`].
-    pub fn finish_with<P>(mut self, fmt: CachedFormat, actual: FormatKind, publish: P)
+    pub fn finish_with<P>(mut self, fmt: CachedFormat, actual: FormatKind, publish: P) -> bool
     where
         P: FnOnce(FormatKind) -> bool,
     {
-        {
-            let mut shard = self.owner.shards[self.shard].lock();
-            if self.deregister(&mut shard) && publish(actual) {
-                shard.cache.insert(&self.id, actual, Arc::clone(&fmt));
-                if actual != self.kind {
-                    shard.record_redirect(&self.id, self.kind, actual);
-                }
+        let mut shard = self.owner.shards[self.shard].lock();
+        let published = self.deregister(&mut shard) && publish(actual);
+        if published {
+            shard.cache.insert(&self.id, actual, Arc::clone(&fmt));
+            if actual != self.kind {
+                shard.record_redirect(&self.id, self.kind, actual);
             }
         }
+        drop(shard);
         *self.flight.state.lock() = FlightState::Done(fmt, actual);
         self.flight.ready.notify_all();
         self.finished = true;
+        published
     }
 
     /// [`FlightGuard::finish_with`] with an unconditional publish — for
@@ -600,6 +609,99 @@ impl Drop for FlightGuard<'_> {
         }
         *self.flight.state.lock() = FlightState::Abandoned;
         self.flight.ready.notify_all();
+    }
+}
+
+/// Where the format [`land`] publishes comes from when the caller leads.
+pub enum Source<'a> {
+    /// Convert `csr` to the flight's kind, trying `chain` in order if it
+    /// refuses. The chain must end in a kind that accepts any matrix.
+    Build {
+        /// The operand to convert.
+        csr: &'a CsrMatrix,
+        /// Fallback kinds tried after the flight's kind refuses.
+        chain: &'a [FormatKind],
+        /// Lane profile the conversion builds at.
+        lanes: LaneProfile,
+    },
+    /// An already-built format (a decoded snapshot record) whose kind
+    /// is the one [`land`] was called with.
+    Ready(CachedFormat),
+}
+
+/// How [`land`] obtained its format.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Landing {
+    /// The format was already resident.
+    Hit,
+    /// Another leader's flight produced it; this call waited.
+    Coalesced,
+    /// This call led the flight.
+    Led {
+        /// Candidates that refused the matrix before one built (always
+        /// 0 for [`Source::Ready`]).
+        refused: usize,
+        /// Whether the publication went through — `publish` returned
+        /// `true` and the flight was not deregistered by a `forget` —
+        /// so the format is now resident.
+        published: bool,
+    },
+}
+
+/// Lands `(id, kind)` through the single-flight register: the one path
+/// by which a conversion becomes resident.
+///
+/// A resident format is a [`Landing::Hit`]; an open flight is waited
+/// on ([`Landing::Coalesced`]), and if its leader abandons, the lookup
+/// retries and may lead. Leading builds (or takes) the format from
+/// `source` outside any lock, then publishes it with
+/// [`FlightGuard::finish_with`], so `publish` runs inside the
+/// publication critical section. On a hit or a coalesced wait,
+/// `publish(actual)` runs afterwards, outside the lock, and its result
+/// is ignored. `publish` therefore runs at most once, with the kind
+/// that is resident.
+///
+/// Returns the format, the kind it actually is, and how it was
+/// obtained. Touches no counters: the caller decides what a landing
+/// means for its bookkeeping.
+pub fn land<P>(
+    conversions: &ShardedConversions,
+    id: &str,
+    kind: FormatKind,
+    source: Source<'_>,
+    publish: P,
+) -> (CachedFormat, FormatKind, Landing)
+where
+    P: FnOnce(FormatKind) -> bool,
+{
+    loop {
+        match conversions.begin(id, kind) {
+            Lookup::Hit(fmt, actual) => {
+                publish(actual);
+                return (fmt, actual, Landing::Hit);
+            }
+            Lookup::Wait(flight) => {
+                if let Some((fmt, actual)) = flight.wait() {
+                    publish(actual);
+                    return (fmt, actual, Landing::Coalesced);
+                }
+                // The leader abandoned (panicked) without publishing;
+                // retry — this lookup may now lead.
+            }
+            Lookup::Lead(guard) => {
+                let (fmt, actual, refused) = match source {
+                    Source::Build { csr, chain, lanes } => {
+                        let (built, actual, refused) =
+                            build_with_fallback_profile(guard.kind(), csr, chain, lanes)
+                                .expect("fallback chain ends in a kind that accepts any matrix");
+                        (Arc::new(built), actual, refused)
+                    }
+                    Source::Ready(fmt) => (fmt, kind, 0),
+                };
+                let published = guard.finish_with(Arc::clone(&fmt), actual, publish);
+                return (fmt, actual, Landing::Led { refused, published });
+            }
+        }
     }
 }
 
@@ -754,7 +856,6 @@ impl ShardedConversions {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use spmv_core::CsrMatrix;
     use spmv_formats::build_format;
     use std::sync::atomic::{AtomicUsize, Ordering};
 
@@ -1192,6 +1293,59 @@ mod tests {
         assert_eq!(leads.load(Ordering::Relaxed), 1, "exactly one conversion");
         assert_eq!(served.load(Ordering::Relaxed), 8, "every thread served");
         assert_eq!(c.len(), 1);
+    }
+
+    /// Every nonzero on its own diagonal: DIA's padding budget refuses.
+    fn scattered_matrix() -> CsrMatrix {
+        let n = 64usize;
+        let t: Vec<(usize, usize, f64)> = (0..n).map(|r| (r, (r * r + 3) % n, 1.0)).collect();
+        CsrMatrix::from_triplets(n, n, &t).unwrap()
+    }
+
+    /// No Table II profile carries DIA, so only a direct `land` reaches
+    /// the refusing-build path: the fallback builds, the redirect is
+    /// recorded, and a second landing of the refused kind hits it.
+    #[test]
+    fn land_records_a_refused_build_and_hits_it_afterwards() {
+        let c = ShardedConversions::new(1 << 20, 2);
+        let m = scattered_matrix();
+        let build = || Source::Build {
+            csr: &m,
+            chain: &[FormatKind::NaiveCsr],
+            lanes: LaneProfile::scalar(),
+        };
+        let mut pinned = None;
+        let (_, actual, outcome) = land(&c, "m", FormatKind::Dia, build(), |actual| {
+            pinned = Some(actual);
+            true
+        });
+        assert_eq!(actual, FormatKind::NaiveCsr);
+        assert_eq!(outcome, Landing::Led { refused: 1, published: true });
+        assert_eq!(pinned, Some(FormatKind::NaiveCsr), "publish saw the kind that built");
+        let (_, kind) = c.peek("m", FormatKind::Dia).expect("redirect recorded");
+        assert_eq!(kind, FormatKind::NaiveCsr);
+
+        let mut pinned = None;
+        let (_, actual, outcome) = land(&c, "m", FormatKind::Dia, build(), |actual| {
+            pinned = Some(actual);
+            true
+        });
+        assert_eq!((actual, outcome), (FormatKind::NaiveCsr, Landing::Hit), "nothing rebuilt");
+        assert_eq!(pinned, Some(FormatKind::NaiveCsr), "a hit still publishes to the caller");
+        assert_eq!(c.len(), 1);
+    }
+
+    #[test]
+    fn land_with_a_vetoing_publish_caches_nothing_but_returns_the_format() {
+        let c = ShardedConversions::new(1 << 20, 2);
+        let fmt = fmt_of(8);
+        let (got, actual, outcome) =
+            land(&c, "m", FormatKind::NaiveCsr, Source::Ready(Arc::clone(&fmt)), |_| false);
+        assert!(Arc::ptr_eq(&got, &fmt), "the caller gets the format it landed");
+        assert_eq!(actual, FormatKind::NaiveCsr);
+        assert_eq!(outcome, Landing::Led { refused: 0, published: false });
+        assert!(c.is_empty(), "vetoed landing must not become resident");
+        assert!(matches!(c.begin("m", FormatKind::NaiveCsr), Lookup::Lead(_)), "flight released");
     }
 
     #[test]

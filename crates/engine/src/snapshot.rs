@@ -34,16 +34,19 @@
 //! checksummed and parsed — every embedded format decoded and
 //! structurally re-validated, duplicate records rejected — before the
 //! engine is touched, so a corrupt snapshot leaves a live engine
-//! unchanged. Landing then goes through the *same* admission machinery
-//! a background conversion flight uses ([`PlanTable::try_begin_build`]
-//! epoch tickets, [`FlightGuard::finish_with`] publication), which is
-//! what makes restore safe to run concurrently with live serves:
+//! unchanged. Landing then goes through the *same* path a background
+//! conversion flight uses ([`PlanTable::try_begin_build`] epoch
+//! tickets, then [`shard::land`] with the decoded format as its
+//! source), which is what makes restore safe to run concurrently with
+//! live serves:
 //!
 //! * a plan already present wins over the snapshot's (first writer
 //!   wins, exactly like racing admissions);
-//! * a key whose conversion is already resident or mid-flight is
-//!   skipped — restore never blocks on, or double-publishes over, a
-//!   live flight;
+//! * a key whose plan a live admission flight owns, or whose conversion
+//!   is already resident, is skipped;
+//! * a key a live leader is converting waits for that leader's result,
+//!   re-pins the plan to it and is skipped — restore never publishes
+//!   over a live flight;
 //! * a `forget` racing the restore vetoes the publication through the
 //!   usual epoch check, so restore cannot resurrect a forgotten id;
 //! * restored conversions land through the shard caches' normal
@@ -56,9 +59,8 @@
 //! across a snapshot/restore cycle.
 //!
 //! [`PlanTable::try_begin_build`]: crate::shard::PlanTable::try_begin_build
-//! [`FlightGuard::finish_with`]: crate::shard::FlightGuard::finish_with
 
-use crate::shard::{CachedFormat, Lookup};
+use crate::shard::{self, CachedFormat, Landing, Source};
 use crate::Engine;
 use spmv_analysis::FormatSelector;
 use spmv_core::xxh64;
@@ -284,9 +286,9 @@ impl Engine {
 
     /// Restores a snapshot into this engine: plans first (first writer
     /// wins against live admissions), then each conversion, landed
-    /// through the regular flight machinery so a restore racing live
-    /// serves can never double-publish a key or resurrect a forgotten
-    /// id (see the [module docs](self)). The stream is fully validated
+    /// through [`shard::land`] so a restore racing live serves can
+    /// never double-publish a key or resurrect a forgotten id (see the
+    /// [module docs](self)). The stream is fully validated
     /// before anything lands — on error the engine is unchanged.
     ///
     /// The snapshot's selector section is validated but not applied:
@@ -315,38 +317,18 @@ impl Engine {
                 stats.conversions_skipped += 1;
                 continue;
             };
-            match self.state.conversions.begin(&id, kind) {
-                Lookup::Hit(_, actual) => {
-                    // Already resident (e.g. a flight landed between
-                    // snapshot and restore): keep the live entry, just
-                    // re-pin the plan we claimed.
-                    self.state.plans.finish_build(&id, epoch, actual);
-                    stats.conversions_skipped += 1;
-                }
-                Lookup::Wait(_) => {
-                    // A live leader is mid-conversion on this key.
-                    // Restore must never block on (or publish over) a
-                    // live flight — release the claim and move on; the
-                    // leader pins the plan when it lands.
-                    self.state.plans.abort_build(&id, epoch);
-                    stats.conversions_skipped += 1;
-                }
-                Lookup::Lead(guard) => {
-                    let mut landed = false;
-                    // `kind` is the decoded format's own kind, so the
-                    // publication records a redirect exactly when the
-                    // flight key was rewritten — same as a fallback
-                    // build in a live flight.
-                    guard.finish_with(fmt, kind, |actual| {
-                        landed = self.state.plans.finish_build(&id, epoch, actual);
-                        landed
-                    });
-                    if landed {
-                        stats.conversions_restored += 1;
-                    } else {
-                        stats.conversions_skipped += 1;
-                    }
-                }
+            // `kind` is the decoded format's own kind, so the
+            // publication records a redirect exactly when the flight
+            // key was rewritten — same as a fallback build in a live
+            // flight.
+            let (_, _, outcome) =
+                shard::land(&self.state.conversions, &id, kind, Source::Ready(fmt), |actual| {
+                    self.state.plans.finish_build(&id, epoch, actual)
+                });
+            if let Landing::Led { published: true, .. } = outcome {
+                stats.conversions_restored += 1;
+            } else {
+                stats.conversions_skipped += 1;
             }
         }
         Ok(stats)
@@ -356,6 +338,7 @@ impl Engine {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::shard::{Lookup, PlanState};
     use crate::{Admission, Engine, EngineConfig, TrainingPlan};
     use spmv_core::CsrMatrix;
     use spmv_gen::dataset::DatasetSize;
@@ -439,6 +422,47 @@ mod tests {
         assert_eq!(stats.conversions_restored, 0);
         assert_eq!(stats.conversions_skipped, 1);
         assert_eq!(engine.counters().cached_entries, 1, "no duplicate entries");
+    }
+
+    /// A restore that meets a live leader on one of its keys waits for
+    /// the leader's result instead of publishing the snapshot's copy:
+    /// the leader's format stays resident and the plan lands on it.
+    #[test]
+    fn restore_waits_on_a_live_leader_and_keeps_its_result() {
+        let engine = Engine::new(quick_config()).unwrap();
+        let m = skewed_matrix(2);
+        let x = vec![1.0; 600];
+        let mut y = vec![0.0; 600];
+        let kind = engine.spmv("m", &m, &x, &mut y);
+        let mut blob = Vec::new();
+        engine.snapshot(&mut blob).unwrap();
+
+        let fresh = Engine::with_selector(quick_config(), engine.selector().clone()).unwrap();
+        let Lookup::Lead(guard) = fresh.state.conversions.begin("m", kind) else {
+            panic!("a cold key must lead");
+        };
+        let live: CachedFormat = Arc::new(spmv_formats::build_format(kind, &m).unwrap());
+        let stats = std::thread::scope(|s| {
+            let restorer = s.spawn(|| fresh.restore(&mut &blob[..]).unwrap());
+            // The restore claims the plan's build just before it meets
+            // the flight; from then on it cannot finish until the
+            // leader does.
+            let deadline = std::time::Instant::now() + std::time::Duration::from_secs(30);
+            while fresh.state.plans.get("m") != Some(PlanState::Building(kind)) {
+                assert!(std::time::Instant::now() < deadline, "restore never claimed the plan");
+                std::thread::yield_now();
+            }
+            std::thread::sleep(std::time::Duration::from_millis(20));
+            assert!(!restorer.is_finished(), "restore must wait on the live leader");
+            guard.finish(Arc::clone(&live), kind);
+            restorer.join().unwrap()
+        });
+        assert_eq!(stats.conversions_restored, 0);
+        assert_eq!(stats.conversions_skipped, 1);
+        let (resident, _) = fresh.state.conversions.peek("m", kind).expect("leader's format");
+        assert!(Arc::ptr_eq(&resident, &live), "the snapshot's copy replaced the leader's");
+        assert_eq!(fresh.counters().cached_entries, 1);
+        assert_eq!(fresh.state.plans.get("m"), Some(PlanState::Pinned(kind)));
     }
 
     #[test]

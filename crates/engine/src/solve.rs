@@ -32,7 +32,7 @@
 //! `SPMV_THREADS`; across thread counts they agree to rounding.
 
 use crate::shard::CachedFormat;
-use crate::{kind_index, Engine, Served};
+use crate::Engine;
 use spmv_core::CsrMatrix;
 use spmv_formats::FormatKind;
 use spmv_parallel::blas1;
@@ -153,23 +153,13 @@ impl<'e> SolveHandle<'e> {
     pub(crate) fn new(engine: &'e Engine, id: &str, csr: &CsrMatrix) -> SolveHandle<'e> {
         assert_eq!(csr.rows(), csr.cols(), "solver requires a square system");
         let n = csr.rows();
-        // Resolve synchronously regardless of the admission mode: the
+        // Land synchronously regardless of the admission mode: the
         // conversion is amortized over the whole solve. This counts as
-        // one full request (it performs one cache lookup inside
-        // `resolve`, so the Sync-mode `cache_lookups == requests`
-        // reconciliation stays exact).
+        // one full request with one cache lookup, so the Sync-mode
+        // `cache_lookups == requests` reconciliation stays exact.
         let planned = engine.plan(id, csr).kind();
-        let served = engine.resolve(id, csr, planned);
-        let c = &engine.state.counters;
-        c.requests.fetch_add(1, Ordering::Relaxed);
-        let (fmt, kind) = match served {
-            Served::Selected(fmt, kind) => (fmt, kind),
-            // `resolve` always converts (or waits for a conversion);
-            // only the async peek path answers CsrPath.
-            Served::CsrPath => unreachable!("synchronous resolve always yields a format"),
-        };
-        c.served_selected.fetch_add(1, Ordering::Relaxed);
-        c.selections[kind_index(kind)].fetch_add(1, Ordering::Relaxed);
+        let (fmt, kind) = engine.land_on_caller(id, csr, planned);
+        engine.state.counters.request(Some(kind));
         let ticket = engine.state.plans.acquire_solver_pin(id, kind);
         SolveHandle {
             engine,
