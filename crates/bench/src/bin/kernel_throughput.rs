@@ -2,14 +2,14 @@
 //! microkernels (`spmv_formats::kernels`) buy over the W=1 scalar
 //! instantiation of the *same* loop, format by format.
 //!
-//! Every migrated format is built twice from the same CSR operand —
-//! once at `LaneProfile::scalar()` and once at the widest lane profile
-//! — and each runs sequential SpMV over the same input, so the only
-//! difference is the number of independent accumulators the inner loop
-//! keeps in flight. Expected shape: the slab/chunk formats (ELL,
-//! SELL-C-σ) gain the most on regular matrices because W rows share
-//! one column-index load per slot; CSR gather-dots gain less (the
-//! gather dominates).
+//! Every lane-blocked format (ELL, HYB, SELL-C-σ) is built twice from
+//! the same CSR operand — once at `LaneProfile::scalar()` and once at
+//! the widest lane profile — and each runs sequential SpMV over the
+//! same input, so the only difference is the number of independent
+//! accumulators the inner loop keeps in flight. Expected shape: the
+//! slab/chunk formats gain the most on regular matrices because W rows
+//! share one column-index load per slot. The CSR variants are not
+//! listed: they run one scalar row kernel at every profile.
 //!
 //! Exit status: on hosts with ≥ 8 hardware threads the widest-lane
 //! SELL-C-σ kernel must clear ≥ 1.3× its scalar twin on the regular
@@ -51,11 +51,8 @@ impl Config {
     }
 }
 
-/// The formats whose inner loops live in the shared kernel layer.
-const MIGRATED: [FormatKind; 8] = [
-    FormatKind::NaiveCsr,
-    FormatKind::VectorizedCsr,
-    FormatKind::BalancedCsr,
+/// The formats whose inner loops are instantiated per lane width.
+const MIGRATED: [FormatKind; 5] = [
     FormatKind::Ell,
     FormatKind::Hyb,
     FormatKind::SellC4,

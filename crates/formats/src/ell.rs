@@ -16,8 +16,12 @@ use spmv_core::CsrMatrix;
 use spmv_parallel::{DisjointWriter, Executor, Schedule, ThreadPool};
 
 /// Decodes an ELL wire payload, re-validating slab geometry and
-/// column bounds (the kernel indexes `x` by `col_idx` unguarded).
-pub(crate) fn decode(r: &mut SectionReader<'_>) -> Result<EllFormat, WireError> {
+/// column bounds (the kernel indexes `x` by `col_idx` unguarded). The
+/// lane width comes from the decoding side's `profile`.
+pub(crate) fn decode(
+    r: &mut SectionReader<'_>,
+    profile: LaneProfile,
+) -> Result<EllFormat, WireError> {
     let malformed = |m: String| WireError::Malformed(m);
     let rows = r.dim()?;
     let cols = r.dim()?;
@@ -41,7 +45,7 @@ pub(crate) fn decode(r: &mut SectionReader<'_>) -> Result<EllFormat, WireError> 
     if nnz > stored {
         return Err(malformed(format!("ELL nnz {nnz} exceeds stored entries {stored}")));
     }
-    Ok(EllFormat { rows, cols, nnz, width, col_idx, values, lanes: LaneProfile::current().width })
+    Ok(EllFormat { rows, cols, nnz, width, col_idx, values, lanes: profile.width })
 }
 
 /// Default cap on `stored entries / nnz` before conversion refuses.

@@ -17,8 +17,12 @@ use spmv_parallel::{accumulate_rows, DisjointWriter, Executor, Schedule, ThreadP
 
 /// Decodes a HYB wire payload, re-validating both halves: ELL slab
 /// geometry and column bounds, plus a row-sorted, in-bounds COO tail
-/// (the carry kernel requires row-major order).
-pub(crate) fn decode(r: &mut SectionReader<'_>) -> Result<HybFormat, WireError> {
+/// (the carry kernel requires row-major order). The lane width comes
+/// from the decoding side's `profile`.
+pub(crate) fn decode(
+    r: &mut SectionReader<'_>,
+    profile: LaneProfile,
+) -> Result<HybFormat, WireError> {
     let malformed = |m: String| WireError::Malformed(m);
     let rows = r.dim()?;
     let cols = r.dim()?;
@@ -74,7 +78,7 @@ pub(crate) fn decode(r: &mut SectionReader<'_>) -> Result<HybFormat, WireError> 
         coo_col,
         coo_val,
         ell_nnz,
-        lanes: LaneProfile::current().width,
+        lanes: profile.width,
     })
 }
 

@@ -1,54 +1,29 @@
-//! Gather-dot microkernels for CSR row slices: W-accumulator unrolled
+//! Gather-dot kernels for CSR row slices: the scalar row dot
 //! `Σ vals[i] · x[cols[i]]`, plus the fused SpMM variant that reads a
 //! row's indices and values once and reuses them across all k right-
 //! hand sides.
 //!
-//! Within a row, W splits the product stream across W accumulators
-//! (lane `l` owns products `l, l+W, l+2W, …` of the full chunks) that
-//! are reduced pairwise, so sums at different widths agree only to
-//! floating-point tolerance; at a fixed width the order is exact and
-//! reproducible.
+//! Every entry point sums a row's products left to right into one
+//! accumulator — the same order as `CsrMatrix::spmv_into` — so all
+//! four CSR variants agree bit-for-bit with the reference and with
+//! each other on every row they own whole.
 
-use super::{tree_sum, LaneWidth};
 use spmv_parallel::DisjointWriter;
 use std::ops::Range;
 
-/// W-accumulator dot product of one row slice against the gathered x.
+/// Left-to-right dot of the CSR entries `lo..hi` against the gathered
+/// x: a whole row, or the part of one a merge-path segment owns.
 #[inline]
-fn dot_w<const W: usize>(cols: &[u32], vals: &[f64], x: &[f64]) -> f64 {
-    let mut acc = [0.0f64; W];
-    let chunks = cols.len() / W;
-    for i in 0..chunks {
-        let base = i * W;
-        for lane in 0..W {
-            acc[lane] += vals[base + lane] * x[cols[base + lane] as usize];
-        }
+pub fn csr_dot_range(lo: usize, hi: usize, col_idx: &[u32], values: &[f64], x: &[f64]) -> f64 {
+    let mut acc = 0.0;
+    for (&c, &v) in col_idx[lo..hi].iter().zip(&values[lo..hi]) {
+        acc += v * x[c as usize];
     }
-    let mut tail = 0.0;
-    for i in chunks * W..cols.len() {
-        tail += vals[i] * x[cols[i] as usize];
-    }
-    tree_sum(&acc) + tail
-}
-
-fn csr_rows_w<const W: usize>(
-    rows: Range<usize>,
-    row_ptr: &[usize],
-    col_idx: &[u32],
-    values: &[f64],
-    x: &[f64],
-    out: &DisjointWriter<'_>,
-) {
-    for r in rows {
-        let (lo, hi) = (row_ptr[r], row_ptr[r + 1]);
-        out.write(r, dot_w::<W>(&col_idx[lo..hi], &values[lo..hi], x));
-    }
+    acc
 }
 
 /// SpMV over a CSR row range: `out[r] = row_r · x` for `r` in `rows`.
-/// Dispatches on `width` once, then runs the monomorphized loop.
 pub fn csr_spmv_rows(
-    width: LaneWidth,
     rows: Range<usize>,
     row_ptr: &[usize],
     col_idx: &[u32],
@@ -56,30 +31,9 @@ pub fn csr_spmv_rows(
     x: &[f64],
     out: &DisjointWriter<'_>,
 ) {
-    match width {
-        LaneWidth::W1 => csr_rows_w::<1>(rows, row_ptr, col_idx, values, x, out),
-        LaneWidth::W2 => csr_rows_w::<2>(rows, row_ptr, col_idx, values, x, out),
-        LaneWidth::W4 => csr_rows_w::<4>(rows, row_ptr, col_idx, values, x, out),
-        LaneWidth::W8 => csr_rows_w::<8>(rows, row_ptr, col_idx, values, x, out),
-    }
-}
-
-fn csr_dot_rows_w<const W: usize>(
-    rows: Range<usize>,
-    row_ptr: &[usize],
-    col_idx: &[u32],
-    values: &[f64],
-    x: &[f64],
-    out: &DisjointWriter<'_>,
-) -> f64 {
-    let mut partial = 0.0;
     for r in rows {
-        let (lo, hi) = (row_ptr[r], row_ptr[r + 1]);
-        let yr = dot_w::<W>(&col_idx[lo..hi], &values[lo..hi], x);
-        out.write(r, yr);
-        partial += x[r] * yr;
+        out.write(r, csr_dot_range(row_ptr[r], row_ptr[r + 1], col_idx, values, x));
     }
-    partial
 }
 
 /// Fused SpMV + dot over a CSR row range: writes `out[r] = row_r · x`
@@ -89,10 +43,8 @@ fn csr_dot_rows_w<const W: usize>(
 ///
 /// The partial accumulates in ascending row order — exactly the order
 /// a serial dot over the chunk would use — so fused and
-/// spmv-then-dot agree **bit-for-bit** at a fixed lane width and
-/// chunking.
+/// spmv-then-dot agree **bit-for-bit** at a fixed chunking.
 pub fn csr_spmv_dot_rows(
-    width: LaneWidth,
     rows: Range<usize>,
     row_ptr: &[usize],
     col_idx: &[u32],
@@ -100,69 +52,20 @@ pub fn csr_spmv_dot_rows(
     x: &[f64],
     out: &DisjointWriter<'_>,
 ) -> f64 {
-    match width {
-        LaneWidth::W1 => csr_dot_rows_w::<1>(rows, row_ptr, col_idx, values, x, out),
-        LaneWidth::W2 => csr_dot_rows_w::<2>(rows, row_ptr, col_idx, values, x, out),
-        LaneWidth::W4 => csr_dot_rows_w::<4>(rows, row_ptr, col_idx, values, x, out),
-        LaneWidth::W8 => csr_dot_rows_w::<8>(rows, row_ptr, col_idx, values, x, out),
-    }
-}
-
-#[allow(clippy::too_many_arguments)]
-fn csr_spmm_w<const W: usize>(
-    rows: Range<usize>,
-    total_rows: usize,
-    total_cols: usize,
-    row_ptr: &[usize],
-    col_idx: &[u32],
-    values: &[f64],
-    x: &[f64],
-    k: usize,
-    y: &mut [f64],
-) {
-    // acc[lane * k + j]: lane-l partial sum for right-hand side j.
-    let mut acc = vec![0.0f64; W * k];
-    let mut tail = vec![0.0f64; k];
+    let mut partial = 0.0;
     for r in rows {
-        acc.fill(0.0);
-        tail.fill(0.0);
-        let (lo, hi) = (row_ptr[r], row_ptr[r + 1]);
-        let len = hi - lo;
-        let chunks = len / W;
-        for i in 0..chunks {
-            let base = lo + i * W;
-            for lane in 0..W {
-                let c = col_idx[base + lane] as usize;
-                let v = values[base + lane];
-                for j in 0..k {
-                    acc[lane * k + j] += v * x[j * total_cols + c];
-                }
-            }
-        }
-        for i in lo + chunks * W..hi {
-            let c = col_idx[i] as usize;
-            let v = values[i];
-            for (j, t) in tail.iter_mut().enumerate() {
-                *t += v * x[j * total_cols + c];
-            }
-        }
-        for (j, &t) in tail.iter().enumerate() {
-            let mut lanes = [0.0f64; W];
-            for (lane, a) in lanes.iter_mut().enumerate() {
-                *a = acc[lane * k + j];
-            }
-            y[j * total_rows + r] = tree_sum(&lanes) + t;
-        }
+        let yr = csr_dot_range(row_ptr[r], row_ptr[r + 1], col_idx, values, x);
+        out.write(r, yr);
+        partial += x[r] * yr;
     }
+    partial
 }
 
 /// Fused SpMM over a CSR row range: the row's matrix stream is read
 /// once and amortized over all `k` right-hand sides (x-reuse). The
-/// per-(row, rhs) accumulation order matches [`csr_spmv_rows`] at the
-/// same width.
+/// per-(row, rhs) accumulation order matches [`csr_spmv_rows`].
 #[allow(clippy::too_many_arguments)]
 pub fn csr_spmm_rows(
-    width: LaneWidth,
     rows: Range<usize>,
     total_rows: usize,
     total_cols: usize,
@@ -173,21 +76,18 @@ pub fn csr_spmm_rows(
     k: usize,
     y: &mut [f64],
 ) {
-    if k == 0 {
-        return;
-    }
-    match width {
-        LaneWidth::W1 => {
-            csr_spmm_w::<1>(rows, total_rows, total_cols, row_ptr, col_idx, values, x, k, y)
+    // acc[j]: the row's running sum for right-hand side j.
+    let mut acc = vec![0.0f64; k];
+    for r in rows {
+        acc.fill(0.0);
+        let (lo, hi) = (row_ptr[r], row_ptr[r + 1]);
+        for (&c, &v) in col_idx[lo..hi].iter().zip(&values[lo..hi]) {
+            for (j, a) in acc.iter_mut().enumerate() {
+                *a += v * x[j * total_cols + c as usize];
+            }
         }
-        LaneWidth::W2 => {
-            csr_spmm_w::<2>(rows, total_rows, total_cols, row_ptr, col_idx, values, x, k, y)
-        }
-        LaneWidth::W4 => {
-            csr_spmm_w::<4>(rows, total_rows, total_cols, row_ptr, col_idx, values, x, k, y)
-        }
-        LaneWidth::W8 => {
-            csr_spmm_w::<8>(rows, total_rows, total_cols, row_ptr, col_idx, values, x, k, y)
+        for (j, &a) in acc.iter().enumerate() {
+            y[j * total_rows + r] = a;
         }
     }
 }
@@ -197,44 +97,14 @@ mod tests {
     use super::*;
 
     #[test]
-    fn dot_handles_every_length_at_every_width() {
+    fn dot_handles_every_length() {
         let x: Vec<f64> = (0..64).map(|i| i as f64).collect();
         for len in 0..33 {
             let cols: Vec<u32> = (0..len as u32).collect();
             let vals = vec![1.0; len];
             let want: f64 = (0..len).map(|i| i as f64).sum();
-            for width in LaneWidth::ALL {
-                let got = match width {
-                    LaneWidth::W1 => dot_w::<1>(&cols, &vals, &x),
-                    LaneWidth::W2 => dot_w::<2>(&cols, &vals, &x),
-                    LaneWidth::W4 => dot_w::<4>(&cols, &vals, &x),
-                    LaneWidth::W8 => dot_w::<8>(&cols, &vals, &x),
-                };
-                assert_eq!(got, want, "len {len} width {width:?}");
-            }
+            assert_eq!(csr_dot_range(0, len, &cols, &vals, &x), want, "len {len}");
         }
-    }
-
-    #[test]
-    fn w4_matches_the_historical_vectorized_csr_order() {
-        // The pre-refactor Vectorized-CSR kernel summed as
-        // (a0+a1) + (a2+a3) + tail; dot_w::<4> must reproduce it
-        // bit-for-bit so the migration is invisible at fixed W = 4.
-        let cols: Vec<u32> = (0..11).collect();
-        let vals: Vec<f64> = (0..11).map(|i| (i as f64 * 0.73).sin() + 0.1).collect();
-        let x: Vec<f64> = (0..11).map(|i| (i as f64 * 1.31).cos() * 3.0).collect();
-        let mut acc = [0.0f64; 4];
-        for i in 0..2 {
-            for lane in 0..4 {
-                acc[lane] += vals[i * 4 + lane] * x[cols[i * 4 + lane] as usize];
-            }
-        }
-        let mut tail = 0.0;
-        for i in 8..11 {
-            tail += vals[i] * x[cols[i] as usize];
-        }
-        let want = (acc[0] + acc[1]) + (acc[2] + acc[3]) + tail;
-        assert_eq!(dot_w::<4>(&cols, &vals, &x), want);
     }
 
     #[test]
@@ -244,24 +114,22 @@ mod tests {
         let col_idx = [0u32, 1, 3, 1, 2, 3, 0, 2];
         let values = [1.5, -2.0, 0.5, 3.0, 1.25, -0.75, 2.0, 0.125];
         let x: Vec<f64> = (0..4).map(|i| (i as f64 * 0.91).sin() + 0.3).collect();
-        for width in LaneWidth::ALL {
-            let mut y = vec![f64::NAN; 4];
-            {
-                let out = DisjointWriter::new(&mut y);
-                csr_spmv_rows(width, 0..4, &row_ptr, &col_idx, &values, &x, &out);
-            }
-            let mut want = 0.0;
-            for r in 0..4 {
-                want += x[r] * y[r];
-            }
-            let mut fused = vec![f64::NAN; 4];
-            let got = {
-                let out = DisjointWriter::new(&mut fused);
-                csr_spmv_dot_rows(width, 0..4, &row_ptr, &col_idx, &values, &x, &out)
-            };
-            assert_eq!(fused, y, "width {width:?}");
-            assert_eq!(got, want, "width {width:?}");
+        let mut y = vec![f64::NAN; 4];
+        {
+            let out = DisjointWriter::new(&mut y);
+            csr_spmv_rows(0..4, &row_ptr, &col_idx, &values, &x, &out);
         }
+        let mut want = 0.0;
+        for r in 0..4 {
+            want += x[r] * y[r];
+        }
+        let mut fused = vec![f64::NAN; 4];
+        let got = {
+            let out = DisjointWriter::new(&mut fused);
+            csr_spmv_dot_rows(0..4, &row_ptr, &col_idx, &values, &x, &out)
+        };
+        assert_eq!(fused, y);
+        assert_eq!(got, want);
     }
 
     #[test]
@@ -272,25 +140,15 @@ mod tests {
         let values = [1.0, -2.0, 0.5, 3.0, 1.5, -0.25, 2.0];
         let k = 3;
         let x: Vec<f64> = (0..5 * k).map(|i| (i as f64 * 0.37).sin()).collect();
-        for width in LaneWidth::ALL {
-            let mut y = vec![f64::NAN; 3 * k];
-            csr_spmm_rows(width, 0..3, 3, 5, &row_ptr, &col_idx, &values, &x, k, &mut y);
-            for j in 0..k {
-                let mut col = vec![f64::NAN; 3];
-                {
-                    let out = DisjointWriter::new(&mut col);
-                    csr_spmv_rows(
-                        width,
-                        0..3,
-                        &row_ptr,
-                        &col_idx,
-                        &values,
-                        &x[j * 5..(j + 1) * 5],
-                        &out,
-                    );
-                }
-                assert_eq!(&y[j * 3..(j + 1) * 3], &col[..], "width {width:?} rhs {j}");
+        let mut y = vec![f64::NAN; 3 * k];
+        csr_spmm_rows(0..3, 3, 5, &row_ptr, &col_idx, &values, &x, k, &mut y);
+        for j in 0..k {
+            let mut col = vec![f64::NAN; 3];
+            {
+                let out = DisjointWriter::new(&mut col);
+                csr_spmv_rows(0..3, &row_ptr, &col_idx, &values, &x[j * 5..(j + 1) * 5], &out);
             }
+            assert_eq!(&y[j * 3..(j + 1) * 3], &col[..], "rhs {j}");
         }
     }
 }

@@ -1,23 +1,26 @@
-//! Shared lane-kernel layer: the SIMD-style inner loops of every
-//! row-major sparse kernel in this crate, written **once** and
-//! instantiated per lane width W ∈ {1, 2, 4, 8}.
+//! Shared lane-kernel layer: the inner loops of every row-major
+//! sparse kernel in this crate, written **once**. The row-blocked
+//! slab and chunk kernels are instantiated per lane width
+//! W ∈ {1, 2, 4, 8}; the CSR gather-dot is a single scalar loop.
 //!
 //! The paper's premise (and SELL-C-σ's raison d'être, Kreutzer et
 //! al.) is that the inner gather·multiply·accumulate loop maps onto
-//! vector lanes. Stable Rust has no `std::simd`, so the microkernels
-//! here use the next best thing: **W independent accumulators** in a
-//! const-generic loop body that LLVM's auto-vectorizer reliably turns
-//! into packed FMAs. Dispatch over W happens *once per kernel call*
-//! (a `match` on [`LaneWidth`] selecting a monomorphized instance),
-//! never per row.
+//! vector lanes. Stable Rust has no `std::simd`, so the slab and chunk
+//! kernels keep **W independent accumulators** — one per matrix row —
+//! in a const-generic loop body. The workspace builds for baseline
+//! x86-64 (no `target-cpu`), where the release binaries contain no FMA
+//! or gather instructions and only a handful of packed SSE2 multiplies:
+//! W amounts to scalar unrolling across rows, not packed FMAs.
+//! Dispatch over W happens *once per kernel call* (a `match` on
+//! [`LaneWidth`] selecting a monomorphized instance), never per row.
 //!
 //! Submodules by memory layout:
 //!
-//! | module  | layout                          | used by              |
-//! |---------|---------------------------------|----------------------|
-//! | [`dot`]   | CSR row slices (gather dot)     | Naive/Vectorized/Balanced CSR |
-//! | [`slab`]  | col-major `width × rows` slab   | ELL, HYB's ELL half  |
-//! | [`chunk`] | SELL-C-σ chunk-major slabs      | SELL-C-σ (C ∈ 4/8/16) |
+//! | module  | layout                                   | used by              |
+//! |---------|------------------------------------------|----------------------|
+//! | [`dot`]   | CSR row slices (one-accumulator gather dot) | Naive/Vectorized/Balanced/Merge CSR |
+//! | [`slab`]  | col-major `width × rows` slab            | ELL, HYB's ELL half  |
+//! | [`chunk`] | SELL-C-σ chunk-major slabs               | SELL-C-σ (C ∈ 4/8/16) |
 //!
 //! ## Determinism contract
 //!
@@ -28,10 +31,6 @@
 //!   *rows*, so the per-row addition order is j-sequential regardless
 //!   of W — those kernels are bit-identical **across** lane widths
 //!   too.
-//! * For the gather-dot kernel, W splits a row's products across W
-//!   accumulators (reduced pairwise), so different widths may differ
-//!   in the last ulps — cross-width agreement is within floating-point
-//!   tolerance only.
 
 use spmv_parallel::DisjointWriter;
 
@@ -179,21 +178,6 @@ fn probe() -> &'static (Option<LaneWidth>, LaneWidth) {
     })
 }
 
-/// Pairwise (tree) reduction of W accumulators. For W = 4 this is
-/// `(a0+a1) + (a2+a3)` — the historical Vectorized-CSR order — and
-/// the order is fixed per W, which is what the determinism contract
-/// requires.
-#[inline]
-pub(crate) fn tree_sum<const W: usize>(acc: &[f64; W]) -> f64 {
-    match W {
-        1 => acc[0],
-        2 => acc[0] + acc[1],
-        4 => (acc[0] + acc[1]) + (acc[2] + acc[3]),
-        8 => ((acc[0] + acc[1]) + (acc[2] + acc[3])) + ((acc[4] + acc[5]) + (acc[6] + acc[7])),
-        _ => unreachable!("unsupported lane width {W}"),
-    }
-}
-
 /// Writes `acc[lane]` to `out[first_row + lane]` for a full block of
 /// W rows.
 #[inline]
@@ -260,14 +244,5 @@ mod tests {
         }
         // current() and resolve(None) agree by construction.
         assert_eq!(LaneProfile::resolve(None), LaneProfile::current());
-    }
-
-    #[test]
-    fn tree_sum_orders_are_fixed_per_width() {
-        assert_eq!(tree_sum::<1>(&[1.5]), 1.5);
-        assert_eq!(tree_sum::<2>(&[1.0, 2.0]), 3.0);
-        assert_eq!(tree_sum::<4>(&[1.0, 2.0, 3.0, 4.0]), (1.0 + 2.0) + (3.0 + 4.0));
-        let a8 = [1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0];
-        assert_eq!(tree_sum::<8>(&a8), ((1.0 + 2.0) + (3.0 + 4.0)) + ((5.0 + 6.0) + (7.0 + 8.0)));
     }
 }

@@ -7,22 +7,24 @@
 //! |---|---|---|---|
 //! | COO | [`coo`] | nnz chunks + carries | load balance |
 //! | Naive-CSR | [`csr`] | static row chunks | baseline |
-//! | Vectorized-CSR | [`csr`] | static rows, unrolled | ILP / SIMD |
+//! | Vectorized-CSR | [`csr`] | static row chunks | ILP / SIMD (runs the scalar row kernel) |
 //! | Balanced-CSR | [`csr`] | nnz-balanced rows | imbalance |
 //! | ELL | [`ell`] | static rows, padded | ILP on regular matrices |
 //! | HYB (ELL+COO) | [`hyb`] | split at k = avg nnz/row | ELL without padding blow-up |
 //! | SELL-C-σ | [`sellcs`] | sorted chunks | SIMD without full-ELL padding |
 //! | CSR5-like | [`csr5`] | equal-nnz tiles + carries | imbalance + irregularity |
-//! | Merge-CSR | [`merge_csr`] | 2-D merge path | imbalance, zero preprocessing |
+//! | Merge-CSR | [`csr`] | 2-D merge path | imbalance, zero preprocessing |
 //! | SparseX-lite (CSX) | [`sparsex`] | nnz-balanced rows | memory footprint compression |
 //! | VSL (CSC variant) | [`vsl`] | HBM channel partitions | FPGA dataflow |
 //!
-//! The SIMD-style inner loops of the CSR variants, ELL, HYB and
-//! SELL-C-σ are not written per format: they live once in [`kernels`]
-//! as width-generic lane microkernels (gather-dot, dense slab, sliced
-//! chunk), instantiated at lane widths 1/2/4/8 and dispatched once per
-//! matrix from a [`kernels::LaneProfile`] chosen at startup (the
-//! `SPMV_LANES` environment variable overrides the probed default).
+//! The inner loops of the CSR variants, ELL, HYB and SELL-C-σ are not
+//! written per format: they live once in [`kernels`]. The four CSR
+//! variants share one scalar gather-dot row kernel and differ only in
+//! their schedule. ELL, HYB and SELL-C-σ use width-generic lane
+//! microkernels (dense slab, sliced chunk), instantiated at lane widths
+//! 1/2/4/8 and dispatched once per matrix from a
+//! [`kernels::LaneProfile`] chosen at startup (the `SPMV_LANES`
+//! environment variable overrides the probed default).
 //!
 //! Every format implements [`SparseFormat`]: conversion from CSR,
 //! sequential SpMV, parallel SpMV over a [`spmv_parallel::ThreadPool`],
@@ -44,7 +46,6 @@ pub mod dia;
 pub mod ell;
 pub mod hyb;
 pub mod kernels;
-pub mod merge_csr;
 pub mod registry;
 pub mod sellcs;
 pub mod sparsex;
@@ -57,4 +58,4 @@ pub use registry::{
     build_format, build_format_with, build_with_fallback, build_with_fallback_profile, FormatKind,
 };
 pub use traits::{FormatBuildError, SparseFormat};
-pub use wire::{deserialize_from, SectionReader, SectionWriter, WireError};
+pub use wire::{deserialize_from, deserialize_with, SectionReader, SectionWriter, WireError};

@@ -13,7 +13,6 @@ use crate::dia::DiaFormat;
 use crate::ell::EllFormat;
 use crate::hyb::HybFormat;
 use crate::kernels::LaneProfile;
-use crate::merge_csr::MergeCsrFormat;
 use crate::sellcs::{SellCSigmaFormat, DEFAULT_SIGMA};
 use crate::sparsex::SparseXFormat;
 use crate::traits::{FormatBuildError, SparseFormat};
@@ -26,7 +25,7 @@ use spmv_core::CsrMatrix;
 pub enum FormatKind {
     /// Straightforward CSR, static row partition.
     NaiveCsr,
-    /// CSR with an ILP-oriented unrolled kernel.
+    /// CSR, static row partition (the paper's vectorized-kernel slot).
     VectorizedCsr,
     /// CSR with nnz-balanced row partition.
     BalancedCsr,
@@ -154,22 +153,18 @@ pub fn build_format(
 /// the hook the engine uses to thread its `DeviceSpec`-derived profile
 /// through conversion. The SELL chunk widths stay pinned per kind
 /// (names are wire-stable); the profile only selects the kernel lane
-/// width.
+/// width of ELL, HYB and SELL-C-σ. The CSR kinds run one scalar row
+/// kernel and ignore it.
 pub fn build_format_with(
     kind: FormatKind,
     csr: &CsrMatrix,
     profile: LaneProfile,
 ) -> Result<Box<dyn SparseFormat>, FormatBuildError> {
     Ok(match kind {
-        FormatKind::NaiveCsr => {
-            Box::new(CsrFormat::with_profile(csr.clone(), CsrVariant::Naive, profile))
-        }
-        FormatKind::VectorizedCsr => {
-            Box::new(CsrFormat::with_profile(csr.clone(), CsrVariant::Vectorized, profile))
-        }
-        FormatKind::BalancedCsr => {
-            Box::new(CsrFormat::with_profile(csr.clone(), CsrVariant::Balanced, profile))
-        }
+        FormatKind::NaiveCsr => Box::new(CsrFormat::new(csr.clone(), CsrVariant::Naive)),
+        FormatKind::VectorizedCsr => Box::new(CsrFormat::new(csr.clone(), CsrVariant::Vectorized)),
+        FormatKind::BalancedCsr => Box::new(CsrFormat::new(csr.clone(), CsrVariant::Balanced)),
+        FormatKind::MergeCsr => Box::new(CsrFormat::new(csr.clone(), CsrVariant::Merge)),
         FormatKind::Coo => Box::new(CooFormat::from_csr(csr)),
         FormatKind::Dia => Box::new(DiaFormat::from_csr(csr)?),
         FormatKind::Bcsr => Box::new(BcsrFormat::from_csr(csr)?),
@@ -190,7 +185,6 @@ pub fn build_format_with(
             Box::new(SellCSigmaFormat::from_csr_with_profile(csr, 16, DEFAULT_SIGMA, profile))
         }
         FormatKind::Csr5 => Box::new(Csr5Format::from_csr(csr)),
-        FormatKind::MergeCsr => Box::new(MergeCsrFormat::from_csr(csr)),
         FormatKind::SparseX => Box::new(SparseXFormat::from_csr(csr)?),
         FormatKind::Vsl => Box::new(VslFormat::from_csr(csr)?),
     })

@@ -23,8 +23,12 @@ use spmv_parallel::{DisjointWriter, Executor, Schedule, ThreadPool};
 /// must be a *bijection* on `0..rows`: the scatter kernel writes
 /// `y[perm[p]]` through a [`DisjointWriter`], so a duplicated entry
 /// would alias two lanes onto one row — a data race under the
-/// parallel schedule, not just a wrong answer.
-pub(crate) fn decode(r: &mut SectionReader<'_>) -> Result<SellCSigmaFormat, WireError> {
+/// parallel schedule, not just a wrong answer. The lane width comes
+/// from the decoding side's `profile`.
+pub(crate) fn decode(
+    r: &mut SectionReader<'_>,
+    profile: LaneProfile,
+) -> Result<SellCSigmaFormat, WireError> {
     let malformed = |m: String| WireError::Malformed(m);
     let rows = r.dim()?;
     let cols = r.dim()?;
@@ -103,7 +107,7 @@ pub(crate) fn decode(r: &mut SectionReader<'_>) -> Result<SellCSigmaFormat, Wire
         chunk_width,
         col_idx,
         values,
-        lanes: LaneProfile::current().width,
+        lanes: profile.width,
     })
 }
 

@@ -26,6 +26,7 @@
 //! on (index bounds, pointer monotonicity, permutation validity) is
 //! re-validated on the way in. No `unsafe` anywhere on this path.
 
+use crate::kernels::LaneProfile;
 use crate::registry::FormatKind;
 use crate::traits::SparseFormat;
 use spmv_core::{xxh64, CsrMatrix};
@@ -399,8 +400,21 @@ fn read_exact_or_truncated(r: &mut dyn Read, buf: &mut [u8]) -> Result<(), WireE
 /// payload length is never trusted up front: bytes are read as they
 /// arrive, so a hostile length yields [`WireError::Truncated`] instead
 /// of a pre-allocation OOM. The checksum is verified before any
-/// structural decoding.
+/// structural decoding. Lane-blocked formats (ELL, HYB, SELL-C-σ) run
+/// at the process-wide [`LaneProfile::current`]; see
+/// [`deserialize_with`].
 pub fn deserialize_from(r: &mut dyn Read) -> Result<Box<dyn SparseFormat>, WireError> {
+    deserialize_with(r, LaneProfile::current())
+}
+
+/// [`deserialize_from`] with an explicit lane profile for the decoded
+/// kernels — the decoding twin of
+/// [`build_format_with`](crate::build_format_with), so an engine runs
+/// restored formats at the same width it converts at.
+pub fn deserialize_with(
+    r: &mut dyn Read,
+    profile: LaneProfile,
+) -> Result<Box<dyn SparseFormat>, WireError> {
     let mut head = [0u8; 17];
     read_exact_or_truncated(r, &mut head)?;
     if head[..8] != FORMAT_MAGIC {
@@ -422,7 +436,7 @@ pub fn deserialize_from(r: &mut dyn Read) -> Result<Box<dyn SparseFormat>, WireE
         return Err(WireError::ChecksumMismatch { stored, computed });
     }
     let mut payload = SectionReader::new(&body[17..]);
-    let fmt = decode_payload(kind, &mut payload)?;
+    let fmt = decode_payload(kind, &mut payload, profile)?;
     payload.finish()?;
     Ok(fmt)
 }
@@ -430,28 +444,29 @@ pub fn deserialize_from(r: &mut dyn Read) -> Result<Box<dyn SparseFormat>, WireE
 fn decode_payload(
     kind: FormatKind,
     r: &mut SectionReader<'_>,
+    profile: LaneProfile,
 ) -> Result<Box<dyn SparseFormat>, WireError> {
     use crate::csr::CsrVariant;
     Ok(match kind {
         FormatKind::NaiveCsr => Box::new(crate::csr::decode(r, CsrVariant::Naive)?),
         FormatKind::VectorizedCsr => Box::new(crate::csr::decode(r, CsrVariant::Vectorized)?),
         FormatKind::BalancedCsr => Box::new(crate::csr::decode(r, CsrVariant::Balanced)?),
+        FormatKind::MergeCsr => Box::new(crate::csr::decode(r, CsrVariant::Merge)?),
         FormatKind::Coo => Box::new(crate::coo::decode(r)?),
         FormatKind::Dia => Box::new(crate::dia::decode(r)?),
         FormatKind::Bcsr => Box::new(crate::bcsr::decode(r)?),
-        FormatKind::Ell => Box::new(crate::ell::decode(r)?),
-        FormatKind::Hyb => Box::new(crate::hyb::decode(r)?),
-        FormatKind::SellCSigma => Box::new(crate::sellcs::decode(r)?),
+        FormatKind::Ell => Box::new(crate::ell::decode(r, profile)?),
+        FormatKind::Hyb => Box::new(crate::hyb::decode(r, profile)?),
+        FormatKind::SellCSigma => Box::new(crate::sellcs::decode(r, profile)?),
         FormatKind::Csr5 => Box::new(crate::csr5::decode(r)?),
-        FormatKind::MergeCsr => Box::new(crate::merge_csr::decode(r)?),
         FormatKind::SparseX => Box::new(crate::sparsex::decode(r)?),
         FormatKind::Vsl => Box::new(crate::vsl::decode(r)?),
         // The chunk-width variants share SELL-C-σ's payload layout but
         // their tag pins C; a payload whose stored C disagrees with its
         // tag was tampered with or mis-labelled. (The legacy SellCSigma
         // tag stays permissive for pre-variant snapshots.)
-        FormatKind::SellC4 => Box::new(decode_sell_pinned(r, 4)?),
-        FormatKind::SellC16 => Box::new(decode_sell_pinned(r, 16)?),
+        FormatKind::SellC4 => Box::new(decode_sell_pinned(r, 4, profile)?),
+        FormatKind::SellC16 => Box::new(decode_sell_pinned(r, 16, profile)?),
     })
 }
 
@@ -459,8 +474,9 @@ fn decode_payload(
 fn decode_sell_pinned(
     r: &mut SectionReader<'_>,
     c: usize,
+    profile: LaneProfile,
 ) -> Result<crate::sellcs::SellCSigmaFormat, WireError> {
-    let f = crate::sellcs::decode(r)?;
+    let f = crate::sellcs::decode(r, profile)?;
     if f.c() != c {
         return Err(malformed(format!("SELL chunk width {} under a C={c} wire tag", f.c())));
     }
@@ -535,6 +551,33 @@ mod tests {
             back.spmv(&x, &mut got);
             assert_eq!(got, want, "{} spmv must be bit-identical", f.name());
         }
+    }
+
+    #[test]
+    fn lane_blocked_formats_decode_at_the_callers_profile() {
+        // Encoded at the widest profile, decoded at the scalar one: the
+        // decoded kernels must run at the decoding side's width, not
+        // the process-wide default.
+        let m = test_matrix();
+        let wide = LaneProfile::with_width(crate::LaneWidth::W8);
+        let scalar = LaneProfile::scalar();
+        let payload = |f: &dyn SparseFormat| {
+            let mut out = SectionWriter::new();
+            f.encode_payload(&mut out);
+            out.into_bytes()
+        };
+        let ell = crate::ell::EllFormat::from_csr_with(&m, 16.0, wide).unwrap();
+        let bytes = payload(&ell);
+        let back = crate::ell::decode(&mut SectionReader::new(&bytes), scalar).unwrap();
+        assert_eq!(back.lanes(), crate::LaneWidth::W1);
+        let hyb = crate::hyb::HybFormat::from_csr_profile(&m, wide);
+        let bytes = payload(&hyb);
+        let back = crate::hyb::decode(&mut SectionReader::new(&bytes), scalar).unwrap();
+        assert_eq!(back.lanes(), crate::LaneWidth::W1);
+        let sell = crate::sellcs::SellCSigmaFormat::from_csr_with_profile(&m, 8, 4, wide);
+        let bytes = payload(&sell);
+        let back = crate::sellcs::decode(&mut SectionReader::new(&bytes), scalar).unwrap();
+        assert_eq!(back.lanes(), crate::LaneWidth::W1);
     }
 
     #[test]

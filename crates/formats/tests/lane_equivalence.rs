@@ -2,8 +2,8 @@
 //! every format migrated onto `spmv_formats::kernels` must, at every
 //! lane width W ∈ {1, 2, 4, 8},
 //!
-//! 1. agree with the dense reference within floating-point tolerance
-//!    (widths may reassociate CSR dot products differently), and
+//! 1. agree with the dense reference within floating-point tolerance,
+//!    and
 //! 2. be **bit-identical run to run at a fixed `LaneProfile`** — the
 //!    accumulation order is a pure function of the profile, never of
 //!    scheduling, scratch reuse, or prior output contents.
@@ -145,12 +145,16 @@ proptest! {
 
     #[test]
     fn slab_and_chunk_kernels_are_width_invariant(m in arb_matrix()) {
-        // ELL, HYB and SELL map accumulators 1:1 to rows, so changing
-        // the lane width must not even reassociate: all widths agree
-        // bitwise with the scalar kernel. (CSR gather-dots split one
-        // row's products across lanes and only promise tolerance.)
+        // ELL, HYB and SELL map accumulators 1:1 to rows, and the CSR
+        // variants run one scalar row kernel whatever the profile, so
+        // changing the lane width must not even reassociate: all widths
+        // agree bitwise with the scalar kernel.
         let x: Vec<f64> = (0..m.cols()).map(|i| (i as f64 * 1.3).cos()).collect();
         for kind in [
+            FormatKind::NaiveCsr,
+            FormatKind::VectorizedCsr,
+            FormatKind::BalancedCsr,
+            FormatKind::MergeCsr,
             FormatKind::Ell,
             FormatKind::Hyb,
             FormatKind::SellC4,
